@@ -21,7 +21,6 @@ from .errors import (
     InsufficientInitialTerms,
     InsufficientTerms,
     InternalInconsistency,
-    InvalidModel,
     LeadingCoeffVanishes,
     MotzkinParityError,
     NotQuadratic,
@@ -52,7 +51,7 @@ from .paths import (
     level_series,
     open_series_dp,
 )
-from .series import Poly, Rat, Series, poly_div_exact, poly_divmod, poly_gcd
+from .series import Poly, Series, poly_div_exact, poly_divmod, poly_gcd
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "InsufficientInitialTerms",
     "InsufficientTerms",
     "InternalInconsistency",
-    "InvalidModel",
     "KernelContext",
     "LeadingCoeffVanishes",
     "LinearODE",
@@ -78,7 +76,6 @@ __all__ = [
     "OrderTooSmall",
     "PRecurrence",
     "Poly",
-    "Rat",
     "Series",
     "StepModel",
     "algeq_to_ode",

@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``dp`` (count-table enumeration), ``series`` (closed-form level
-series), ``open`` (paths ending anywhere), ``derive`` (equation -> ODE ->
-homogeneous ODE -> recurrence, all stages printed and verified), ``guess``
-(fit an equation or recurrence to enumerated data) and ``check``
-(cross-verification suite).  Payload goes to stdout, diagnostics to stderr;
-exit status is 0 on success, 1 when a check fails, 2 on usage errors.
+series), ``open`` (paths ending anywhere, summed from the count table),
+``derive`` (equation -> ODE -> homogeneous ODE -> recurrence, all stages
+printed and verified), ``guess`` (fit an equation or recurrence to
+enumerated data) and ``check`` (cross-verification suite).  Every command
+that takes a model accepts ``--model A``, ``B`` or ``general --weights E,O``.
+Payload goes to stdout, diagnostics to stderr; exit status is 0 on success,
+1 when a check fails, 2 on usage errors.
 
 Output formats: OEIS b-file (one "n value" pair per line), CSV (one line of
 decimal values), and JSON with coefficients as decimal strings so arbitrary
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .closedform import even_level_series, f0_series, odd_level_series, open_series
-from .errors import InsufficientTerms, InvalidModel
+from .errors import InsufficientTerms
 from .holonomic import (
     AlgebraicEq,
     LinearODE,
@@ -117,13 +119,6 @@ def _resolve_model(args) -> tuple[StepModel, str]:
     return StepModel(even, odd), f"general({even},{odd})"
 
 
-def _named_model(args) -> tuple[StepModel, str]:
-    model, label = _resolve_model(args)
-    if model not in (MODEL_A, MODEL_B):
-        raise InvalidModel("this command needs --model A or --model B")
-    return model, label
-
-
 # ---------------------------------------------------------------------------
 # serialization of holonomic objects
 
@@ -172,29 +167,23 @@ def cmd_dp(args) -> int:
 
 
 def cmd_series(args) -> int:
+    model, label = _resolve_model(args)
     if args.what == "f0":
-        model, label = _named_model(args)
         values = f0_series(model, args.terms).coeffs
         return _emit_sequence(args, label, "f0", values)
-    if args.what == "even":
-        model, label = _named_model(args)
-        values = even_level_series(model, args.k, args.terms).coeffs
-        return _emit_sequence(args, label, "even", values, {"k": args.k})
-    values = odd_level_series(args.k, args.terms).coeffs
-    return _emit_sequence(args, "any", "odd", values, {"k": args.k})
+    closed_form = even_level_series if args.what == "even" else odd_level_series
+    values = closed_form(model, args.k, args.terms).coeffs
+    return _emit_sequence(args, label, args.what, values, {"k": args.k})
 
 
 def cmd_open(args) -> int:
     model, label = _resolve_model(args)
-    if model in (MODEL_A, MODEL_B):
-        values = open_series(model, args.terms).coeffs
-    else:
-        values = open_series_dp(model, args.terms).coeffs
+    values = open_series_dp(model, args.terms).coeffs
     return _emit_sequence(args, label, "open", values)
 
 
 def cmd_derive(args) -> int:
-    model, label = _named_model(args)
+    model, label = _resolve_model(args)
     y = f0_series(model, args.terms)
     eq = guess_algebraic(y, args.ydeg, args.zdeg)
     if eq is None:
@@ -261,7 +250,7 @@ def _oracle_checks(terms: int) -> list[CheckResult]:
             if level % 2 == 0:
                 closed = even_level_series(model, level // 2, terms + 1)
             else:
-                closed = odd_level_series(level // 2, terms + 1)
+                closed = odd_level_series(model, level // 2, terms + 1)
             column = [table.count(n, level) for n in range(terms + 1)]
             bad = _first_mismatch(closed.coeffs, column)
             results.append((f"closed-vs-table:{label}:level{level}", bad is None, bad))
@@ -357,12 +346,11 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-def _add_model_flags(parser, models=("A", "B", "general")) -> None:
-    parser.add_argument("--model", choices=models, default="A",
+def _add_model_flags(parser) -> None:
+    parser.add_argument("--model", choices=("A", "B", "general"), default="A",
                         help="step model (default A)")
-    if "general" in models:
-        parser.add_argument("--weights", metavar="E,O",
-                            help="level-step multiplicities for --model general")
+    parser.add_argument("--weights", metavar="E,O",
+                        help="level-step multiplicities for --model general")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "derive",
         help="derive equation, ODE, homogeneous ODE and recurrence, all verified",
     )
-    derive.add_argument("--from", dest="start", choices=("algeq",), default="algeq",
-                        help="pipeline entry point")
-    _add_model_flags(derive, models=("A", "B"))
+    _add_model_flags(derive)
     derive.add_argument("--terms", type=_positive, default=40,
                         help="series terms used for guessing (default 40)")
     derive.add_argument("--ydeg", type=_nonnegative, default=2)
@@ -438,7 +424,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, InvalidModel, InsufficientTerms) as exc:
+    except (UsageError, InsufficientTerms) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,23 +1,33 @@
 """Pole-free evaluation of the kernel-method closed forms as exact series.
 
-Notation used throughout this module:
+For a step model with E level-step variants on even heights and O on odd
+heights, everything below is built from three polynomials
 
-    sqrt_disc = sqrt((1-z)(1-2z)(1-3z-2z^2))
-    root      = (1 - 3z + sqrt_disc) / 2
+    P        = (1 - E z)(1 - O z)
+    quad     = P - 4 z^2
+    boundary = 1 - E z
+
+and from
+
+    sqrt_disc = sqrt(P * quad)
+    root      = (P + sqrt_disc) / 2 - z^2
 
 ``root`` carries the admissible solution of the kernel equation with the
 1/z^2 pole already cleared, so every object below is an ordinary power
 series and every division is by a unit.  The load-bearing identity is
 
-    (root + z^2)^2 = (1-z)(1-2z) * root
+    (root + z^2)^2 = P * root
 
-which follows from squaring ``2*(root + z^2) = (1-3z+2z^2) + sqrt_disc``.
-Each model's series of paths returning to height 0 is
+which follows from squaring ``2*(root + z^2) = P + sqrt_disc``.  The series
+of paths returning to height 0 is
 
-    (1-z)(1-2z) / (boundary * (root + z^2))
+    P / (boundary * (root + z^2)).
 
-with boundary factor (1-z) for :data:`MODEL_A` and (1-2z) for
-:data:`MODEL_B`; the odd-level series are identical in both models.
+Only the even-level series see ``boundary``.  The odd-level series
+z^(2k+1) / root^(k+1) depend on the model through P alone, which is
+symmetric in E and O, so swapping the level-step counts of even and odd
+heights leaves every odd level unchanged.  Model A (E, O) = (1, 2) and
+model B (2, 1) are one such pair.
 """
 
 from __future__ import annotations
@@ -25,43 +35,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidModel
-from .paths import MODEL_A, MODEL_B, StepModel
+from .paths import StepModel
 from .series import Poly, Series
 
-_PLIN = Poly([1, -3, 2])  # (1-z)(1-2z)
-_QUAD = Poly([1, -3, -2])  # 1 - 3z - 2z^2
-_DISC = _PLIN * _QUAD  # 1 - 6z + 9z^2 - 4z^4
 _Z2 = Poly([0, 0, 1])
 
 
 @dataclass(frozen=True, slots=True)
 class KernelContext:
-    """Shared series data for closed-form evaluation at a fixed order."""
+    """Shared series data for closed-form evaluation of one model at a
+    fixed order."""
 
     order: int
+    p: Poly
+    quad: Poly
+    boundary: Poly
     sqrt_disc: Series
     root: Series
-    plin: Poly
-    quad: Poly
 
 
-def kernel_context(order: int) -> KernelContext:
+def kernel_context(model: StepModel, order: int) -> KernelContext:
     if order < 1:
         raise ValueError("order must be at least 1")
-    sqrt_disc = Series.from_poly(_DISC, order).sqrt()
-    root = (Series.from_poly(Poly([1, -3]), order) + sqrt_disc) * Fraction(1, 2)
-    return KernelContext(order, sqrt_disc, root, _PLIN, _QUAD)
-
-
-def _boundary(model: StepModel) -> Poly:
-    if model == MODEL_A:
-        return Poly([1, -1])
-    if model == MODEL_B:
-        return Poly([1, -2])
-    raise InvalidModel(
-        f"closed forms cover only the two named parity models, got {model}"
-    )
+    p = Poly([1, -model.even_loops]) * Poly([1, -model.odd_loops])
+    quad = p - _Z2 * 4
+    sqrt_disc = Series.from_poly(p * quad, order).sqrt()
+    root = (Series.from_poly(p - _Z2 * 2, order) + sqrt_disc) * Fraction(1, 2)
+    boundary = Poly([1, -model.even_loops])
+    return KernelContext(order, p, quad, boundary, sqrt_disc, root)
 
 
 def _root_plus_z2(ctx: KernelContext) -> Series:
@@ -71,14 +72,12 @@ def _root_plus_z2(ctx: KernelContext) -> Series:
 def f0_series(model: StepModel, order: int) -> Series:
     """Series of weighted paths returning to height 0.
 
-    Evaluates (1-z)(1-2z) / (boundary * (root + z^2)), which by the kernel
-    identity equals (1-2z)/(root+z^2) for model A and (1-z)/(root+z^2) for
-    model B.
+    Evaluates P / (boundary * (root + z^2)), which equals
+    (1 - O z) / (root + z^2) because boundary divides P.
     """
-    boundary = _boundary(model)
-    ctx = kernel_context(order)
-    numer = Series.from_poly(ctx.plin, order)
-    return numer / (Series.from_poly(boundary, order) * _root_plus_z2(ctx))
+    ctx = kernel_context(model, order)
+    numer = Series.from_poly(ctx.p, order)
+    return numer / (Series.from_poly(ctx.boundary, order) * _root_plus_z2(ctx))
 
 
 def even_level_series(model: StepModel, k: int, order: int) -> Series:
@@ -86,21 +85,19 @@ def even_level_series(model: StepModel, k: int, order: int) -> Series:
     z^(2k) * (root + z^2) / (boundary * root^(k+1))."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    boundary = _boundary(model)
-    ctx = kernel_context(order)
+    ctx = kernel_context(model, order)
     numer = _root_plus_z2(ctx).shift_up(2 * k)
-    return numer / (Series.from_poly(boundary, order) * ctx.root ** (k + 1))
+    return numer / (Series.from_poly(ctx.boundary, order) * ctx.root ** (k + 1))
 
 
-def odd_level_series(k: int, order: int) -> Series:
+def odd_level_series(model: StepModel, k: int, order: int) -> Series:
     """Series of paths ending at height 2k+1: z^(2k+1) / root^(k+1).
 
-    The odd-level series do not depend on the model; swapping the parity
-    roles leaves them unchanged.
+    Unchanged when the model's even and odd level-step counts are swapped.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ctx = kernel_context(order)
+    ctx = kernel_context(model, order)
     return Series.one(order).shift_up(2 * k + 1) / ctx.root ** (k + 1)
 
 
@@ -111,14 +108,13 @@ def open_series(model: StepModel, order: int) -> Series:
 
         sqrt_disc / (boundary * quad)  +  (sqrt_disc - quad) / (2z * quad)
 
-    with quad = 1 - 3z - 2z^2.  The numerator of the second part has zero
-    constant and z^1 coefficients, so the division by z is exact; the
-    context is built one order higher to absorb the shift.
+    The numerator of the second part has zero constant and z^1
+    coefficients, so the division by z is exact; the context is built one
+    order higher to absorb the shift.
     """
-    boundary = _boundary(model)
-    ctx = kernel_context(order + 1)
+    ctx = kernel_context(model, order + 1)
     quad_wide = Series.from_poly(ctx.quad, order + 1)
-    even_part = ctx.sqrt_disc / (Series.from_poly(boundary, order + 1) * quad_wide)
+    even_part = ctx.sqrt_disc / (Series.from_poly(ctx.boundary, order + 1) * quad_wide)
     odd_part = (ctx.sqrt_disc - quad_wide).shift_down(1) / (
         Series.from_poly(ctx.quad, order) * 2
     )

@@ -21,10 +21,6 @@ class IndexBeyondOrder(MotzkinParityError):
     """Coefficient index at or beyond the series truncation order."""
 
 
-class InvalidModel(MotzkinParityError):
-    """Closed forms exist only for the two named parity models."""
-
-
 class NotQuadratic(MotzkinParityError):
     """ODE conversion is implemented for equations of y-degree exactly 2."""
 

@@ -10,7 +10,7 @@ rather than by materializing labelled paths, which keeps memory polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator
 
 from .series import Series
 
@@ -38,7 +38,8 @@ MODEL_B = StepModel(2, 1)
 
 @dataclass(frozen=True, slots=True)
 class CountTable:
-    """``counts[n][h]``: weighted paths of length n from height 0 to height h."""
+    """``counts[n][h]``: weighted paths of length n from height 0 to height h,
+    for h = 0..n (no path of length n climbs above height n)."""
 
     model: StepModel
     length: int
@@ -47,9 +48,8 @@ class CountTable:
     def count(self, n: int, height: int) -> int:
         if not 0 <= n <= self.length:
             raise IndexError(f"length {n} outside table range 0..{self.length}")
-        if not 0 <= height <= self.length:
-            return 0
-        return self.counts[n][height]
+        row = self.counts[n]
+        return row[height] if 0 <= height < len(row) else 0
 
     def row_sum(self, n: int) -> int:
         if not 0 <= n <= self.length:
@@ -57,30 +57,28 @@ class CountTable:
         return sum(self.counts[n])
 
 
-def dp_table(model: StepModel, length: int) -> CountTable:
-    """Exact count table for all path lengths up to ``length``.
+def _rows(model: StepModel, length: int) -> Iterator[list[int]]:
+    """Rows ``c(n, 0..n)`` of the count table for n = 0..length, one at a time.
 
-    Single pass over lengths using
-    ``c(n+1,h) = c(n,h-1) + weight(h)*c(n,h) + c(n,h+1)``
-    with ``c(n,-1) = 0``.  Heights are capped at ``length`` because no path
-    of length n climbs above height n.
+    Uses ``c(n+1,h) = c(n,h-1) + weight(h)*c(n,h) + c(n,h+1)`` with
+    ``c(n,-1) = 0``; row n has n+1 entries because no path of length n
+    climbs above height n.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    size = length + 1
-    rows = [[0] * size for _ in range(size)]
-    rows[0][0] = 1
-    for n in range(length):
-        prev = rows[n]
-        cur = rows[n + 1]
-        for h in range(size):
-            total = prev[h] * model.weight(h)
-            if h > 0:
-                total += prev[h - 1]
-            if h < length:
-                total += prev[h + 1]
-            cur[h] = total
-    return CountTable(model, length, tuple(tuple(r) for r in rows))
+    weights = [model.weight(h) for h in range(length)]
+    row = [1]
+    yield row
+    for _ in range(length):
+        stay = [w * c for w, c in zip(weights, row)] + [0]
+        row = [a + b + c for a, b, c in zip([0] + row, stay, row[1:] + [0, 0])]
+        yield row
+
+
+def dp_table(model: StepModel, length: int) -> CountTable:
+    """Exact count table for all path lengths up to ``length``."""
+    counts = tuple(tuple(row) for row in _rows(model, length))
+    return CountTable(model, length, counts)
 
 
 def level_series(model: StepModel, level: int, terms: int) -> Series:
@@ -89,13 +87,12 @@ def level_series(model: StepModel, level: int, terms: int) -> Series:
         raise ValueError("terms must be at least 1")
     if level < 0:
         raise ValueError("level must be nonnegative")
-    table = dp_table(model, terms - 1)
-    return Series([Fraction(table.count(n, level)) for n in range(terms)])
+    return Series([row[level] if level < len(row) else 0
+                   for row in _rows(model, terms - 1)])
 
 
 def open_series_dp(model: StepModel, terms: int) -> Series:
     """Generating series of paths ending at any height (row sums of the table)."""
     if terms < 1:
         raise ValueError("terms must be at least 1")
-    table = dp_table(model, terms - 1)
-    return Series([Fraction(table.row_sum(n)) for n in range(terms)])
+    return Series([sum(row) for row in _rows(model, terms - 1)])

@@ -15,7 +15,6 @@ from typing import Iterable, Union
 
 from .errors import DivisorNotUnit, IndexBeyondOrder, NotUnitSquare, OrderTooSmall
 
-Rat = Fraction
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -309,10 +308,6 @@ class Series:
         if self.order < 2:
             raise OrderTooSmall("differentiation needs order at least 2")
         return Series([(k + 1) * c for k, c in enumerate(self.coeffs[1:])])
-
-    def integral(self) -> Series:
-        """Coefficientwise antiderivative with zero constant term; order grows by 1."""
-        return Series([_ZERO] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def __str__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])

@@ -72,7 +72,7 @@ def test_criterion_3_oracle_equivalence():
             if level % 2 == 0:
                 closed = even_level_series(model, level // 2, terms)
             else:
-                closed = odd_level_series(level // 2, terms)
+                closed = odd_level_series(model, level // 2, terms)
             assert closed == level_series(model, level, terms), (model, level)
     table_a = dp_table(MODEL_A, 40)
     table_b = dp_table(MODEL_B, 40)

@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
-from motzkin_parity import MODEL_A, dp_table
+import pytest
+
+from motzkin_parity import MODEL_A, StepModel, dp_table
 from motzkin_parity.cli import (
     _render_check_report,
     format_bfile,
@@ -67,14 +69,30 @@ class TestSeriesCommand:
         assert code == 0
         assert out == "0,1,3,9\n"
 
-    def test_general_model_rejected(self, capsys):
-        code, out, err = invoke(
-            capsys, "series", "--what", "f0", "--model", "general",
-            "--weights", "3,3", "--terms", "5",
+    def test_odd_level_uses_the_model(self, capsys):
+        args = ("--model", "general", "--weights", "3,3", "--terms", "6", "--format", "csv")
+        code, out, _ = invoke(capsys, "series", "--what", "odd", "--k", "0", *args)
+        assert code == 0
+        assert out == "0,1,6,29,132,590\n"
+        _, column, _ = invoke(capsys, "dp", "--level", "1", *args)
+        assert out == column
+
+    def test_odd_level_json_names_the_model(self, capsys):
+        code, out, _ = invoke(
+            capsys, "series", "--what", "odd", "--k", "1", "--model", "B",
+            "--terms", "4", "--format", "json",
         )
-        assert code == 2
-        assert out == ""
-        assert "error" in err
+        assert code == 0
+        assert out == '{"model":"B","what":"odd","k":1,"terms":4,"coefficients":["0","0","0","1"]}\n'
+
+    def test_general_model_accepted(self, capsys):
+        code, out, _ = invoke(
+            capsys, "series", "--what", "f0", "--model", "general",
+            "--weights", "3,3", "--terms", "6", "--format", "csv",
+        )
+        assert code == 0
+        table = dp_table(StepModel(3, 3), 5)
+        assert out == ",".join(str(table.count(n, 0)) for n in range(6)) + "\n"
 
     def test_named_weights_accepted(self, capsys):
         # weights matching a named model are that model
@@ -138,8 +156,7 @@ class TestOpenCommand:
 
 class TestDeriveCommand:
     def test_all_stages_verified(self, capsys):
-        code, out, _ = invoke(capsys, "derive", "--from", "algeq", "--model", "A",
-                              "--terms", "40")
+        code, out, _ = invoke(capsys, "derive", "--model", "A", "--terms", "40")
         assert code == 0
         payload = json.loads(out)
         for stage in ("algebraic", "ode", "homogeneous_ode", "recurrence"):
@@ -164,6 +181,20 @@ class TestDeriveCommand:
         code, out, _ = invoke(capsys, "derive", "--model", "B", "--terms", "40")
         assert code == 0
         payload = json.loads(out)
+        for stage in ("algebraic", "ode", "homogeneous_ode", "recurrence"):
+            assert payload[stage]["verified"] is True
+
+    @pytest.mark.parametrize("weights,equation", [
+        ("3,3", [["1"], ["-1", "3"], ["0", "0", "1"]]),
+        ("2,5", [["-1", "5"], ["1", "-7", "10"], ["0", "0", "-1", "2"]]),
+    ])
+    def test_general_weights(self, capsys, weights, equation):
+        code, out, _ = invoke(capsys, "derive", "--model", "general", "--weights", weights,
+                              "--terms", "40")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["model"] == f"general({weights})"
+        assert payload["algebraic"]["y_power_coeffs"] == equation
         for stage in ("algebraic", "ode", "homogeneous_ode", "recurrence"):
             assert payload[stage]["verified"] is True
 

@@ -5,7 +5,6 @@ import pytest
 from motzkin_parity import (
     MODEL_A,
     MODEL_B,
-    InvalidModel,
     Poly,
     Series,
     StepModel,
@@ -20,32 +19,51 @@ from motzkin_parity import (
 )
 from reference_data import A176677_PREFIX, MODEL_B_RETURNS_PREFIX, OPEN_A_PREFIX
 
+#: Models A and B first, so their test ids stay model0 and model1, then the
+#: rest of (E, O) in 0..5 x 0..5 and two pairs with a large weight.
+WEIGHTED = [MODEL_A, MODEL_B] + [
+    StepModel(e, o)
+    for e, o in [(e, o) for e in range(6) for o in range(6)] + [(7, 1), (0, 9)]
+    if StepModel(e, o) not in (MODEL_A, MODEL_B)
+]
+#: A few pairs for the more expensive checks.
+SAMPLE = [MODEL_A, MODEL_B, StepModel(0, 0), StepModel(3, 3), StepModel(0, 4),
+          StepModel(5, 2), StepModel(7, 1)]
+
 
 class TestKernelContext:
     def test_order_seven_values(self):
-        ctx = kernel_context(7)
+        ctx = kernel_context(MODEL_A, 7)
         assert ctx.sqrt_disc == Series([1, -3, 0, 0, -2, -6, -18])
         assert ctx.root == Series([1, -3, 0, 0, -1, -3, -9])
+        assert kernel_context(MODEL_B, 7).root == ctx.root
+
+    def test_polynomials(self):
+        ctx = kernel_context(StepModel(3, 5), 4)
+        assert ctx.p == Poly([1, -8, 15])
+        assert ctx.quad == Poly([1, -8, 11])
+        assert ctx.boundary == Poly([1, -3])
 
     def test_sqrt_disc_squares_back(self):
-        ctx = kernel_context(24)
-        assert ctx.sqrt_disc * ctx.sqrt_disc == Series.from_poly(ctx.plin * ctx.quad, 24)
+        for model in SAMPLE:
+            ctx = kernel_context(model, 24)
+            assert ctx.sqrt_disc * ctx.sqrt_disc == Series.from_poly(ctx.p * ctx.quad, 24)
 
     def test_root_identity(self):
-        # (root + z^2)^2 = (1-z)(1-2z) * root, the identity behind every
-        # closed form here
-        ctx = kernel_context(40)
-        shifted = ctx.root + Series.from_poly(Poly([0, 0, 1]), 40)
-        assert shifted * shifted == Series.from_poly(ctx.plin, 40) * ctx.root
+        # (root + z^2)^2 = P * root, the identity behind every closed form here
+        for model in SAMPLE:
+            ctx = kernel_context(model, 30)
+            shifted = ctx.root + Series.from_poly(Poly([0, 0, 1]), 30)
+            assert shifted * shifted == Series.from_poly(ctx.p, 30) * ctx.root, model
 
     def test_order_one(self):
-        ctx = kernel_context(1)
+        ctx = kernel_context(MODEL_A, 1)
         assert ctx.sqrt_disc == Series([1])
         assert ctx.root == Series([1])
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            kernel_context(0)
+            kernel_context(MODEL_A, 0)
 
 
 class TestReturningSeries:
@@ -75,44 +93,53 @@ class TestEvenLevels:
 
 class TestOddLevels:
     def test_level_one(self):
-        series = odd_level_series(0, 6)
+        series = odd_level_series(MODEL_A, 0, 6)
         assert series == Series([0, 1, 3, 9, 27, 82])
         assert series == level_series(MODEL_A, 1, 6)
         assert series == level_series(MODEL_B, 1, 6)
 
     def test_level_three_prefix(self):
-        assert odd_level_series(1, 4) == Series([0, 0, 0, 1])
+        assert odd_level_series(MODEL_B, 1, 4) == Series([0, 0, 0, 1])
 
     def test_level_one_short(self):
-        assert odd_level_series(0, 2) == Series([0, 1])
+        assert odd_level_series(MODEL_A, 0, 2) == Series([0, 1])
+
+    @pytest.mark.parametrize("even,odd", [(1, 2), (0, 3), (3, 3), (4, 1), (0, 9)])
+    def test_swap_symmetry(self, even, odd):
+        model, swapped = StepModel(even, odd), StepModel(odd, even)
+        for k in range(4):
+            series = odd_level_series(model, k, 16)
+            assert series == odd_level_series(swapped, k, 16)
+            assert series == level_series(swapped, 2 * k + 1, 16)
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("model", [MODEL_A, MODEL_B])
+    @pytest.mark.parametrize("model", WEIGHTED)
     def test_all_levels_match_table(self, model):
         terms = 21
+        assert f0_series(model, terms) == level_series(model, 0, terms)
         for level in range(13):
             if level % 2 == 0:
                 closed = even_level_series(model, level // 2, terms)
             else:
-                closed = odd_level_series(level // 2, terms)
+                closed = odd_level_series(model, level // 2, terms)
             assert closed == level_series(model, level, terms), f"level {level}"
 
-    @pytest.mark.parametrize("model", [MODEL_A, MODEL_B])
+    @pytest.mark.parametrize("model", WEIGHTED)
     def test_telescoping(self, model):
         order = 18
         total = Series.zero(order)
         for k in range(0, (order + 1) // 2):
             total = total + even_level_series(model, k, order)
         for k in range(0, order // 2):
-            total = total + odd_level_series(k, order)
+            total = total + odd_level_series(model, k, order)
         assert total == open_series(model, order)
 
 
 class TestOpenSeries:
-    @pytest.mark.parametrize("model", [MODEL_A, MODEL_B])
+    @pytest.mark.parametrize("model", WEIGHTED)
     def test_matches_table(self, model):
-        assert open_series(model, 25) == open_series_dp(model, 25)
+        assert open_series(model, 21) == open_series_dp(model, 21)
 
     def test_model_a_prefix(self):
         assert list(open_series(MODEL_A, 5).coeffs) == OPEN_A_PREFIX
@@ -124,12 +151,10 @@ class TestOpenSeries:
         assert open_series(MODEL_A, 1) == Series([1])
 
 
-class TestModelValidation:
-    def test_general_weights_rejected(self):
+class TestGeneralWeights:
+    def test_general_weights_accepted(self):
         general = StepModel(3, 3)
-        with pytest.raises(InvalidModel):
-            f0_series(general, 5)
-        with pytest.raises(InvalidModel):
-            even_level_series(general, 1, 5)
-        with pytest.raises(InvalidModel):
-            open_series(general, 5)
+        assert f0_series(general, 6) == Series([1, 3, 10, 36, 137, 543])
+        assert even_level_series(general, 1, 6) == level_series(general, 2, 6)
+        assert odd_level_series(general, 0, 6) == Series([0, 1, 6, 29, 132, 590])
+        assert open_series(general, 6) == open_series_dp(general, 6)

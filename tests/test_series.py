@@ -71,7 +71,7 @@ class TestDiv:
     def test_matches_returning_path_counts(self):
         # (1-2z)/(root+z^2) reproduces the exact count of paths returning
         # to height 0 in model A
-        ctx = kernel_context(4)
+        ctx = kernel_context(MODEL_A, 4)
         quotient = embedded([1, -2], 4) / (ctx.root + embedded([0, 0, 1], 4))
         assert quotient == level_series(MODEL_A, 0, 4)
         assert quotient == embedded([1, 1, 2, 5], 4)
@@ -200,14 +200,3 @@ class TestProperties:
     def test_sqrt_roundtrip(self, tail):
         s = Series([1, *tail])
         assert s.sqrt() * s.sqrt() == s
-
-    @settings(deadline=None)
-    @given(st.lists(rats, min_size=1, max_size=12).map(Series))
-    def test_derivative_of_integral(self, s):
-        assert s.integral().derivative() == s
-
-    @settings(deadline=None)
-    @given(st.lists(rats, min_size=1, max_size=12))
-    def test_integral_of_derivative(self, tail):
-        s = Series([0, *tail])
-        assert s.derivative().integral() == s
