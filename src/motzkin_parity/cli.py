@@ -38,8 +38,12 @@ from .holonomic import (
     verify_algebraic,
     verify_ode,
 )
-from .paths import MODEL_A, MODEL_B, StepModel, dp_table, level_series, open_series_dp
+from .paths import (
+    MODEL_A, MODEL_B, CountTable, StepModel, dp_table, level_series, open_series_dp,
+)
 from .series import Poly, Series
+
+_NAMED_MODELS = (("A", MODEL_A), ("B", MODEL_B))
 
 
 class UsageError(Exception):
@@ -126,12 +130,11 @@ def _poly_json(p: Poly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def _eq_json(eq: AlgebraicEq, verified: bool) -> dict:
-    return {
-        "y_power_coeffs": [_poly_json(p) for p in eq.y_coeffs],
-        "text": eq.text(),
-        "verified": verified,
-    }
+def _eq_json(eq: AlgebraicEq, verified: Optional[bool] = None) -> dict:
+    payload = {"y_power_coeffs": [_poly_json(p) for p in eq.y_coeffs], "text": eq.text()}
+    if verified is not None:
+        payload["verified"] = verified
+    return payload
 
 
 def _ode_json(ode: LinearODE, verified: bool) -> dict:
@@ -159,10 +162,33 @@ def _rec_json(rec: PRecurrence, verified: Optional[bool] = None) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _derive(model: StepModel, terms: int, ydeg: int, zdeg: int):
+    """The derivation pipeline of ``derive`` and ``check --what pipeline``.
+
+    Guesses the equation of the returning series from ``terms`` coefficients
+    and converts it to an ODE, a homogeneous ODE and a recurrence.  Returns
+    None if no equation is found.  Otherwise returns the four stages, whether
+    each one verifies, and the table column of paths returning to 0.  The
+    equation and both ODEs are verified against the series to order
+    max(2*terms, 48), the recurrence against the column, one term longer.
+    """
+    eq = guess_algebraic(f0_series(model, terms), ydeg, zdeg)
+    if eq is None:
+        return None
+    order = max(2 * terms, 48)
+    y = f0_series(model, order)
+    column = level_series(model, 0, order + 1).coeffs
+    ode = algeq_to_ode(eq)
+    hom = homogenize_ode(ode)
+    rec = ode_to_recurrence(ode)
+    verified = (verify_algebraic(eq, y), verify_ode(ode, y), verify_ode(hom, y),
+                rec_verify(rec, column))
+    return (eq, ode, hom, rec), verified, column
+
+
 def cmd_dp(args) -> int:
     model, label = _resolve_model(args)
-    table = dp_table(model, args.terms - 1)
-    values = [table.count(n, args.level) for n in range(args.terms)]
+    values = level_series(model, args.level, args.terms).coeffs
     return _emit_sequence(args, label, "dp", values, {"level": args.level})
 
 
@@ -184,24 +210,18 @@ def cmd_open(args) -> int:
 
 def cmd_derive(args) -> int:
     model, label = _resolve_model(args)
-    y = f0_series(model, args.terms)
-    eq = guess_algebraic(y, args.ydeg, args.zdeg)
-    if eq is None:
+    derived = _derive(model, args.terms, args.ydeg, args.zdeg)
+    if derived is None:
         sys.stdout.write(_dumps({"model": label, "terms": args.terms, "found": False}))
         return 1
-    verify_order = max(2 * args.terms, 48)
-    y_check = f0_series(model, verify_order)
-    column = level_series(model, 0, verify_order).coeffs
-    ode = algeq_to_ode(eq)
-    hom = homogenize_ode(ode)
-    rec = ode_to_recurrence(ode)
+    (eq, ode, hom, rec), verified, _ = derived
     payload = {
         "model": label,
         "terms": args.terms,
-        "algebraic": _eq_json(eq, verify_algebraic(eq, y_check)),
-        "ode": _ode_json(ode, verify_ode(ode, y_check)),
-        "homogeneous_ode": _ode_json(hom, verify_ode(hom, y_check)),
-        "recurrence": _rec_json(rec, rec_verify(rec, column)),
+        "algebraic": _eq_json(eq, verified[0]),
+        "ode": _ode_json(ode, verified[1]),
+        "homogeneous_ode": _ode_json(hom, verified[2]),
+        "recurrence": _rec_json(rec, verified[3]),
     }
     sys.stdout.write(_dumps(payload))
     return 0
@@ -221,10 +241,7 @@ def cmd_guess(args) -> int:
         payload = {"model": label, "kind": "algeq", "terms": args.terms,
                    "found": eq is not None}
         if eq is not None:
-            payload["algebraic"] = {
-                "y_power_coeffs": [_poly_json(p) for p in eq.y_coeffs],
-                "text": eq.text(),
-            }
+            payload["algebraic"] = _eq_json(eq)
     sys.stdout.write(_dumps(payload))
     return 0
 
@@ -242,69 +259,52 @@ def _first_mismatch(left: Sequence, right: Sequence) -> Optional[int]:
     return None
 
 
-def _oracle_checks(terms: int) -> list[CheckResult]:
+def _oracle_checks(terms: int, tables: dict[str, CountTable]) -> list[CheckResult]:
     results = []
-    for label, model in (("A", MODEL_A), ("B", MODEL_B)):
-        table = dp_table(model, terms)
+    for label, model in _NAMED_MODELS:
         for level in range(13):
             if level % 2 == 0:
                 closed = even_level_series(model, level // 2, terms + 1)
             else:
                 closed = odd_level_series(model, level // 2, terms + 1)
-            column = [table.count(n, level) for n in range(terms + 1)]
+            column = [tables[label].count(n, level) for n in range(terms + 1)]
             bad = _first_mismatch(closed.coeffs, column)
             results.append((f"closed-vs-table:{label}:level{level}", bad is None, bad))
     return results
 
 
-def _parity_checks(terms: int) -> list[CheckResult]:
-    table_a = dp_table(MODEL_A, terms)
-    table_b = dp_table(MODEL_B, terms)
+def _parity_checks(terms: int, tables: dict[str, CountTable]) -> list[CheckResult]:
     results = []
     for level in range(1, 13, 2):
-        col_a = [table_a.count(n, level) for n in range(terms + 1)]
-        col_b = [table_b.count(n, level) for n in range(terms + 1)]
+        col_a = [tables["A"].count(n, level) for n in range(terms + 1)]
+        col_b = [tables["B"].count(n, level) for n in range(terms + 1)]
         bad = _first_mismatch(col_a, col_b)
         results.append((f"odd-level-model-agreement:level{level}", bad is None, bad))
     return results
 
 
 def _open_checks(terms: int) -> list[CheckResult]:
+    closed = {label: open_series(model, terms).coeffs for label, model in _NAMED_MODELS}
     results = []
-    for label, model in (("A", MODEL_A), ("B", MODEL_B)):
-        closed = open_series(model, terms)
-        table = open_series_dp(model, terms)
-        bad = _first_mismatch(closed.coeffs, table.coeffs)
+    for label, model in _NAMED_MODELS:
+        bad = _first_mismatch(closed[label], open_series_dp(model, terms).coeffs)
         results.append((f"open-closed-vs-table:{label}", bad is None, bad))
     prefix = [Fraction(v) for v in (1, 2, 6, 19, 62)][: terms]
-    bad = _first_mismatch(open_series(MODEL_A, terms).coeffs, prefix)
+    bad = _first_mismatch(closed["A"], prefix)
     results.append(("open-prefix:A", bad is None, bad))
     return results
 
 
 def _pipeline_checks(terms: int) -> list[CheckResult]:
     results = []
-    for label, model in (("A", MODEL_A), ("B", MODEL_B)):
-        verify_order = 2 * terms
-        y_check = f0_series(model, verify_order)
-        column = level_series(model, 0, verify_order + 1).coeffs
-        eq = guess_algebraic(f0_series(model, terms), 2, 3)
-        results.append((f"pipeline:{label}:equation-found", eq is not None, None))
-        if eq is None:
+    for label, model in _NAMED_MODELS:
+        derived = _derive(model, terms, 2, 3)
+        results.append((f"pipeline:{label}:equation-found", derived is not None, None))
+        if derived is None:
             continue
-        results.append(
-            (f"pipeline:{label}:equation-verifies", verify_algebraic(eq, y_check), None)
-        )
-        ode = algeq_to_ode(eq)
-        results.append((f"pipeline:{label}:ode-verifies", verify_ode(ode, y_check), None))
-        hom = homogenize_ode(ode)
-        results.append(
-            (f"pipeline:{label}:homogeneous-ode-verifies", verify_ode(hom, y_check), None)
-        )
-        rec = ode_to_recurrence(ode)
-        results.append(
-            (f"pipeline:{label}:recurrence-verifies", rec_verify(rec, column), None)
-        )
+        (*_, rec), verified, column = derived
+        for stage, ok in zip(("equation", "ode", "homogeneous-ode", "recurrence"), verified):
+            results.append((f"pipeline:{label}:{stage}-verifies", ok, None))
         extended = rec_extend(rec, column[: rec.order], len(column))
         bad = _first_mismatch(extended, column)
         results.append((f"pipeline:{label}:recurrence-extends", bad is None, bad))
@@ -328,12 +328,14 @@ def cmd_check(args) -> int:
     groups = ("oracle", "parity", "open", "pipeline") if args.what == "all" else (args.what,)
     if "pipeline" in groups and args.terms < 17:
         raise UsageError("pipeline checks need --terms of at least 17")
+    tables = ({label: dp_table(model, args.terms) for label, model in _NAMED_MODELS}
+              if {"oracle", "parity"} & set(groups) else {})
     results: list[CheckResult] = []
     for group in groups:
         if group == "oracle":
-            results.extend(_oracle_checks(args.terms))
+            results.extend(_oracle_checks(args.terms, tables))
         elif group == "parity":
-            results.extend(_parity_checks(args.terms))
+            results.extend(_parity_checks(args.terms, tables))
         elif group == "open":
             results.extend(_open_checks(args.terms))
         else:

@@ -253,13 +253,17 @@ class PRecurrence:
         return self.text()
 
 
+def _horner(polys: Sequence[Poly], at: Series) -> Series:
+    """``sum(polys[j] * at**j)``, to the order of ``at``."""
+    total = Series.from_poly(polys[-1], at.order)
+    for p in reversed(polys[:-1]):
+        total = total * at + Series.from_poly(p, at.order)
+    return total
+
+
 def verify_algebraic(eq: AlgebraicEq, y: Series) -> bool:
     """True iff the equation's residual vanishes modulo z^y.order."""
-    order = y.order
-    total = Series.from_poly(eq.y_coeffs[-1], order)
-    for j in range(eq.degree - 1, -1, -1):
-        total = total * y + Series.from_poly(eq.y_coeffs[j], order)
-    return total.is_zero
+    return _horner(eq.y_coeffs, y).is_zero
 
 
 def verify_ode(ode: LinearODE, y: Series) -> bool:
@@ -322,19 +326,12 @@ def series_root(eq: AlgebraicEq, order: int) -> Optional[Series]:
         return None
 
     dy_polys = [j * p for j, p in enumerate(eq.y_coeffs)][1:]
-
-    def horner(polys: Sequence[Poly], at: Series) -> Series:
-        total = Series.from_poly(polys[-1], at.order)
-        for p in reversed(polys[:-1]):
-            total = total * at + Series.from_poly(p, at.order)
-        return total
-
     y = Series([start])
     while y.order < order:
         new_order = min(2 * y.order, order)
         padded = Series(y.coeffs + (Fraction(0),) * (new_order - y.order))
-        residual = horner(eq.y_coeffs, padded)
-        slope = horner(dy_polys, padded)
+        residual = _horner(eq.y_coeffs, padded)
+        slope = _horner(dy_polys, padded)
         y = padded - residual / slope
     return y
 

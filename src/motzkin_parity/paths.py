@@ -51,11 +51,6 @@ class CountTable:
         row = self.counts[n]
         return row[height] if 0 <= height < len(row) else 0
 
-    def row_sum(self, n: int) -> int:
-        if not 0 <= n <= self.length:
-            raise IndexError(f"length {n} outside table range 0..{self.length}")
-        return sum(self.counts[n])
-
 
 def _rows(model: StepModel, length: int) -> Iterator[list[int]]:
     """Rows ``c(n, 0..n)`` of the count table for n = 0..length, one at a time.

@@ -2,7 +2,8 @@
 
 The benchmark attributes time to layers by wrapping the package's public
 callables by name; a rename in the package would silently zero a layer's
-metrics, so this checks that the closed-form layer is still seen.
+metrics, so this checks that the closed-form layer and the count table are
+still seen.
 """
 
 import sys
@@ -18,3 +19,11 @@ def test_traced_expand_attributes_the_kernel_context():
     result = run.run_workload("expand", 3, 0.0, 1, sizes=jobs.TINY)
     assert result["correct"]
     assert result["metrics"]["closedform.kernel_context.calls"] > 0
+
+
+def test_traced_check_builds_one_table_per_model():
+    result = run.run_workload("check", 3, 0.0, 1, sizes=jobs.TINY)
+    assert result["correct"]
+    check_all = sum(r["argv"][:3] == ["check", "--what", "all"] for r in result["jobs"])
+    assert check_all > 0
+    assert result["metrics"]["paths.dp_table.calls"] == 2 * check_all

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import motzkin_parity.cli
 from motzkin_parity import MODEL_A, StepModel, dp_table
 from motzkin_parity.cli import (
     _render_check_report,
@@ -198,6 +199,23 @@ class TestDeriveCommand:
         for stage in ("algebraic", "ode", "homogeneous_ode", "recurrence"):
             assert payload[stage]["verified"] is True
 
+    @pytest.mark.parametrize("argv,order", [
+        (("derive", "--model", "A", "--terms", "18"), 48),
+        (("derive", "--model", "B", "--terms", "30"), 60),
+        (("check", "--what", "pipeline", "--terms", "18"), 48),
+    ], ids=["derive-18", "derive-30", "check-18"])
+    def test_verification_order(self, capsys, monkeypatch, argv, order):
+        # the series to max(2*terms, 48), the table column one term longer
+        seen = []
+        for name in ("verify_algebraic", "verify_ode", "rec_verify"):
+            def recorded(stage, values, verify=getattr(motzkin_parity.cli, name)):
+                seen.append(values.order if hasattr(values, "order") else len(values) - 1)
+                return verify(stage, values)
+            monkeypatch.setattr(motzkin_parity.cli, name, recorded)
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert seen and set(seen) == {order}
+
 
 class TestGuessCommand:
     def test_recurrence_found(self, capsys):
@@ -227,6 +245,7 @@ class TestGuessCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["found"] is True
+        assert list(payload["algebraic"]) == ["y_power_coeffs", "text"]
         assert payload["algebraic"]["y_power_coeffs"] == [
             ["-1", "1"],
             ["1", "-3", "2"],
@@ -249,6 +268,14 @@ class TestCheckCommand:
         assert payload["passed"] is True
         assert all(entry["passed"] for entry in payload["checks"])
         assert "first_failure" not in payload
+        stages = ("equation-found", "equation-verifies", "ode-verifies",
+                  "homogeneous-ode-verifies", "recurrence-verifies", "recurrence-extends")
+        assert [entry["name"] for entry in payload["checks"]] == [
+            *(f"closed-vs-table:{m}:level{k}" for m in "AB" for k in range(13)),
+            *(f"odd-level-model-agreement:level{k}" for k in range(1, 13, 2)),
+            "open-closed-vs-table:A", "open-closed-vs-table:B", "open-prefix:A",
+            *(f"pipeline:{m}:{stage}" for m in "AB" for stage in stages),
+        ]
 
     def test_failure_reporting(self):
         report, code = _render_check_report(
@@ -263,6 +290,28 @@ class TestCheckCommand:
         code, _, err = invoke(capsys, "check", "--what", "pipeline", "--terms", "10")
         assert code == 2
         assert "17" in err
+
+
+class TestCountTables:
+    """``dp`` streams its column; ``check`` builds one table per model."""
+
+    @pytest.mark.parametrize("argv,tables", [
+        (("dp", "--model", "B", "--level", "3", "--terms", "30"), 0),
+        (("check", "--what", "all", "--terms", "20"), 2),
+        (("check", "--what", "parity", "--terms", "20"), 2),
+        (("check", "--what", "open", "--terms", "20"), 0),
+    ], ids=["dp", "check-all", "check-parity", "check-open"])
+    def test_count_tables_built(self, capsys, monkeypatch, argv, tables):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dp_table(*args)
+
+        monkeypatch.setattr(motzkin_parity.cli, "dp_table", counted)
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert len(calls) == tables
 
 
 class TestExitCodesAndStability:
