@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``dp`` (count-table enumeration), ``series`` (closed-form level
-series), ``open`` (paths ending anywhere, summed from the count table),
+series), ``open`` (closed-form series of paths ending anywhere),
 ``derive`` (equation -> ODE -> homogeneous ODE -> recurrence, all stages
 printed and verified), ``guess`` (fit an equation or recurrence to
 enumerated data) and ``check`` (cross-verification suite).  Every command
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .closedform import even_level_series, f0_series, odd_level_series, open_series
@@ -204,7 +203,7 @@ def cmd_series(args) -> int:
 
 def cmd_open(args) -> int:
     model, label = _resolve_model(args)
-    values = open_series_dp(model, args.terms).coeffs
+    values = open_series(model, args.terms).coeffs
     return _emit_sequence(args, label, "open", values)
 
 
@@ -289,7 +288,7 @@ def _open_checks(terms: int) -> list[CheckResult]:
     for label, model in _NAMED_MODELS:
         bad = _first_mismatch(closed[label], open_series_dp(model, terms).coeffs)
         results.append((f"open-closed-vs-table:{label}", bad is None, bad))
-    prefix = [Fraction(v) for v in (1, 2, 6, 19, 62)][: terms]
+    prefix = [1, 2, 6, 19, 62][:terms]
     bad = _first_mismatch(closed["A"], prefix)
     results.append(("open-prefix:A", bad is None, bad))
     return results

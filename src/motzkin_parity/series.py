@@ -222,20 +222,6 @@ class Series:
             raise ValueError("can only truncate to an order between 1 and the current order")
         return Series(self.coeffs[:order])
 
-    def shift_up(self, k: int) -> Series:
-        """Multiply by z^k, keeping the same truncation order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return Series(((_ZERO,) * k + self.coeffs)[: self.order])
-
-    def shift_down(self, k: int) -> Series:
-        """Divide by z^k; the first k coefficients must vanish."""
-        if not 0 <= k < self.order:
-            raise ValueError("shift must leave at least one coefficient")
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by z^{k}")
-        return Series(self.coeffs[k:])
-
     def __add__(self, other: Series) -> Series:
         n = min(self.order, other.order)
         return Series([self.coeffs[k] + other.coeffs[k] for k in range(n)])
@@ -281,14 +267,6 @@ class Series:
                     acc -= out[k - j] * b
             out.append(acc * inv0)
         return Series(out)
-
-    def __pow__(self, exponent: int) -> Series:
-        if exponent < 0:
-            raise ValueError("negative series power")
-        out = Series.one(self.order)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def sqrt(self) -> Series:
         """Square root, by the coefficient recurrence

@@ -19,6 +19,8 @@ def test_traced_expand_attributes_the_kernel_context():
     result = run.run_workload("expand", 3, 0.0, 1, sizes=jobs.TINY)
     assert result["correct"]
     assert result["metrics"]["closedform.kernel_context.calls"] > 0
+    # the closed forms take s from its ODE's recurrence, not a series sqrt
+    assert result["metrics"]["series.sqrt.calls"] == 0
 
 
 def test_traced_check_builds_one_table_per_model():

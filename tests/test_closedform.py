@@ -5,7 +5,6 @@ import pytest
 from motzkin_parity import (
     MODEL_A,
     MODEL_B,
-    Poly,
     Series,
     StepModel,
     dp_table,
@@ -31,35 +30,49 @@ SAMPLE = [MODEL_A, MODEL_B, StepModel(0, 0), StepModel(3, 3), StepModel(0, 4),
           StepModel(5, 2), StepModel(7, 1)]
 
 
+def _mul(f, g, order):
+    """The product of two integer sequences, mod z^order."""
+    out = [0] * order
+    for i, a in enumerate(f[:order]):
+        for j, b in enumerate(g[: order - i]):
+            out[i + j] += a * b
+    return out
+
+
+def _padded(f, order):
+    return list(f[:order]) + [0] * (order - len(f))
+
+
 class TestKernelContext:
     def test_order_seven_values(self):
         ctx = kernel_context(MODEL_A, 7)
-        assert ctx.sqrt_disc == Series([1, -3, 0, 0, -2, -6, -18])
-        assert ctx.root == Series([1, -3, 0, 0, -1, -3, -9])
-        assert kernel_context(MODEL_B, 7).root == ctx.root
+        assert ctx.s == (1, -3, 0, 0, -2, -6, -18)
+        assert kernel_context(MODEL_B, 7).s == ctx.s
+        assert all(type(c) is int for c in ctx.s)
 
     def test_polynomials(self):
         ctx = kernel_context(StepModel(3, 5), 4)
-        assert ctx.p == Poly([1, -8, 15])
-        assert ctx.quad == Poly([1, -8, 11])
-        assert ctx.boundary == Poly([1, -3])
+        assert ctx.p == (1, -8, 15)
+        assert ctx.quad == (1, -8, 11)
+        assert ctx.boundary == (1, -3)
+        assert ctx.disc == (1, -16, 90, -208, 165)
 
     def test_sqrt_disc_squares_back(self):
         for model in SAMPLE:
             ctx = kernel_context(model, 24)
-            assert ctx.sqrt_disc * ctx.sqrt_disc == Series.from_poly(ctx.p * ctx.quad, 24)
+            assert _mul(ctx.s, ctx.s, 24) == _padded(ctx.disc, 24), model
 
     def test_root_identity(self):
-        # (root + z^2)^2 = P * root, the identity behind every closed form here
+        # (P - 2z^2)^2 - s^2 = 4z^4, i.e. root * conj = z^4 for
+        # root, conj = (P - 2z^2 +- s) / 2: every closed form here rests on it
         for model in SAMPLE:
             ctx = kernel_context(model, 30)
-            shifted = ctx.root + Series.from_poly(Poly([0, 0, 1]), 30)
-            assert shifted * shifted == Series.from_poly(ctx.p, 30) * ctx.root, model
+            x = [ctx.p[0], ctx.p[1], ctx.p[2] - 2]
+            difference = [u - v for u, v in zip(_mul(x, x, 30), _mul(ctx.s, ctx.s, 30))]
+            assert difference == _padded([0, 0, 0, 0, 4], 30), model
 
     def test_order_one(self):
-        ctx = kernel_context(MODEL_A, 1)
-        assert ctx.sqrt_disc == Series([1])
-        assert ctx.root == Series([1])
+        assert kernel_context(MODEL_A, 1).s == (1,)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -116,7 +129,7 @@ class TestOddLevels:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("model", WEIGHTED)
     def test_all_levels_match_table(self, model):
-        terms = 21
+        terms = 120
         assert f0_series(model, terms) == level_series(model, 0, terms)
         for level in range(13):
             if level % 2 == 0:
@@ -139,7 +152,7 @@ class TestOracleEquivalence:
 class TestOpenSeries:
     @pytest.mark.parametrize("model", WEIGHTED)
     def test_matches_table(self, model):
-        assert open_series(model, 21) == open_series_dp(model, 21)
+        assert open_series(model, 120) == open_series_dp(model, 120)
 
     def test_model_a_prefix(self):
         assert list(open_series(MODEL_A, 5).coeffs) == OPEN_A_PREFIX
@@ -158,3 +171,30 @@ class TestGeneralWeights:
         assert even_level_series(general, 1, 6) == level_series(general, 2, 6)
         assert odd_level_series(general, 0, 6) == Series([0, 1, 6, 29, 132, 590])
         assert open_series(general, 6) == open_series_dp(general, 6)
+
+
+class TestIntegerEngine:
+    def test_no_series_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closed forms must not use Series arithmetic")
+
+        models = (MODEL_A, StepModel(3, 3))
+        with monkeypatch.context() as patch:
+            for name in ("sqrt", "__mul__", "__truediv__"):
+                patch.setattr(Series, name, refuse)
+            computed = [[f0_series(model, 50), even_level_series(model, 1, 50),
+                         odd_level_series(model, 0, 50), odd_level_series(model, 1, 50),
+                         open_series(model, 50)] for model in models]
+        for model, series in zip(models, computed):
+            expected = [level_series(model, level, 50) for level in (0, 2, 1, 3)]
+            assert series == expected + [open_series_dp(model, 50)], model
+
+    def test_large_order(self):
+        assert even_level_series(MODEL_A, 6, 2000) == level_series(MODEL_A, 12, 2000)
+
+    @pytest.mark.parametrize("k", [0, 3, 50])
+    def test_orders_below_the_level(self, k):
+        # a path of length n ends at height n or lower
+        for order in range(1, 2 * k + 3):
+            assert even_level_series(MODEL_A, k, order) == level_series(MODEL_A, 2 * k, order)
+            assert odd_level_series(MODEL_B, k, order) == level_series(MODEL_B, 2 * k + 1, order)
